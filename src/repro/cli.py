@@ -24,10 +24,9 @@ Three subcommands mirror the system's three roles:
   at widths 1/2/4, worker-kill + hang chaos with zero dropped
   requests, and the shared disk tier.  ``--suite`` narrows to one
   suite; ``--check`` gates (merged into ``repro bench --check``);
-* ``trace-bench`` — the trace-and-replay compiled executor suite:
-  replayed-tape speedup over the eager batched forward, zoo-wide
-  traced-vs-eager equivalence, serial bit-identity, and
-  fallback-on-miss.  ``--check`` gates (merged into
+* ``trace-bench`` — the standalone trace-and-replay executor suite:
+  replayed-tape speedup over the eager batched forward and zoo-wide
+  traced-vs-eager equivalence.  ``--check`` gates (merged into
   ``repro bench --check``).
 
 Observability: ``profile`` / ``schedule`` / ``trace`` accept

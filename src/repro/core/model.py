@@ -48,10 +48,6 @@ class DNNOccuConfig:
 class DNNOccu(Module):
     """GNN-based GPU occupancy predictor for computation graphs."""
 
-    #: duck-typing flag for serving layers: batched inference may route
-    #: through the trace-and-replay executor (docs/compile.md)
-    supports_traced_batches = True
-
     def __init__(self, config: DNNOccuConfig | None = None,
                  seed: int = 0, node_dim: int | None = None,
                  edge_dim: int | None = None):
@@ -137,58 +133,30 @@ class DNNOccu(Module):
         with no_grad():
             return float(self.forward(features).data)
 
-    def traced_executor(self):
-        """This model's lazily created trace-and-replay executor."""
-        # Imported lazily: core must not depend on trace at import time.
-        from ..tensor.trace import TracedExecutor
-        if getattr(self, "_trace_exec", None) is None:
-            self._trace_exec = TracedExecutor(self)
-        return self._trace_exec
-
-    def predict_batch(self, features_list, batch_size: int | None = None,
-                      traced: bool = False) -> np.ndarray:
+    def predict_batch(self, features_list,
+                      batch_size: int | None = None) -> np.ndarray:
         """Inference-only predictions for many graphs in one forward.
+
+        Each collated chunk runs the eager masked :meth:`forward_batch`,
+        which matches a loop of :meth:`predict` calls within 1e-6.
 
         With ``batch_size`` set, members are size-bucketed (sorted by node
         count, chunked, results scattered back to input order) so each
         chunk pads to a near-uniform size instead of the global maximum.
-
-        With ``traced=True`` each collated chunk replays a compiled op
-        tape instead of building a ``Tensor`` graph (docs/compile.md),
-        falling back to the eager forward on any trace or replay error
-        and honoring the ``REPRO_NO_TRACE`` escape hatch.
         """
         # Imported lazily: core must not depend on perf at import time.
         from ..perf.batching import bucket_by_size, collate
         from ..tensor import no_grad
-        from ..tensor.trace import tracing_disabled
         feats = list(features_list)
         if not feats:
             return np.zeros(0)
-        use_trace = traced and not tracing_disabled()
         with no_grad():
             if batch_size is None:
-                return self._forward_collated(collate(feats), use_trace)
+                return np.array(self.forward_batch(collate(feats)).data)
             out = np.zeros(len(feats))
             for idx, chunk in bucket_by_size(feats, batch_size):
-                out[idx] = self._forward_collated(collate(chunk),
-                                                  use_trace)
+                out[idx] = self.forward_batch(collate(chunk)).data
             return out
-
-    def _forward_collated(self, batch, use_trace: bool) -> np.ndarray:
-        """One collated forward: traced replay with eager fallback."""
-        if use_trace:
-            from ..obs.metrics import counter
-            from ..tensor.trace import TraceError
-            try:
-                return self.traced_executor().run(batch)
-            except TraceError:
-                # GradModeError is deliberately not caught: a traced
-                # call under grad is a caller bug, not a cache miss.
-                counter("trace_fallback_total",
-                        "batched forwards that fell back to eager after "
-                        "a trace or replay error").inc()
-        return np.array(self.forward_batch(batch).data)
 
     @staticmethod
     def _spd(features: GraphFeatures) -> np.ndarray:

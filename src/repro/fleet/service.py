@@ -487,10 +487,11 @@ class FleetService:
 
     def _deadline_shed(self, ticket: Ticket, graph, device) -> float:
         """Caller-side deadline expiry: degrade now, discard late wins."""
+        entry = None
         with self._cond:
             for rid, e in list(self._pending.items()):
                 if e.ticket is ticket:
-                    self._pending.pop(rid)
+                    entry = self._pending.pop(rid)
                     self._cond.notify_all()
                     break
         dev, _name = self._resolve_device(device)
@@ -505,6 +506,8 @@ class FleetService:
             value = float(mean)
         if not ticket.set_result(value):
             return ticket.result()
+        if entry is not None:  # else its popper observed the latency
+            self._observe_latency(entry.start)
         with self._cond:
             self._fallbacks["deadline"] = \
                 self._fallbacks.get("deadline", 0) + 1

@@ -162,9 +162,9 @@ class WorkerCore:
         as **one** forward through
         :meth:`~repro.serve.ModelSession.predict_features` — a single
         miss keeps the eager per-graph forward (bit-identical to
-        :meth:`~repro.core.DNNOccu.predict`), two or more replay the
-        compiled batched tape (docs/compile.md).  Returns one
-        ``(prediction, tier)`` pair per request, in request order.
+        :meth:`~repro.core.DNNOccu.predict`), two or more run the eager
+        masked batch (within 1e-6).  Returns one ``(prediction, tier)``
+        pair per request, in request order.
         """
         results: "list[tuple[float, str] | None]" = [None] * len(requests)
         misses: "list[tuple[int, str, object]]" = []

@@ -32,8 +32,7 @@ class MultiHeadAttention(Module):
         self.dim = dim
         self.num_heads = num_heads
         self.head_dim = dim // num_heads
-        # Precomputed so every forward (and every traced tape) bakes the
-        # same scale constant instead of re-deriving it per call.
+        # Precomputed once instead of re-derived on every forward.
         self.scale = 1.0 / np.sqrt(self.head_dim)
         self.w_q = Linear(dim, dim, rng)
         self.w_k = Linear(dim, dim, rng)

@@ -109,8 +109,6 @@ METRIC_NAMES: dict[str, str] = {
                               "compiled tape",
     "trace_cache_misses_total": "batched forwards that had to "
                                 "trace+compile",
-    "trace_fallback_total": "batched forwards that fell back to eager "
-                            "after a trace or replay error",
     "trace_fused_ops_total": "tape ops eliminated by peephole fusion",
     # -- trainer -------------------------------------------------------- #
     "trainer_best_state_restores_total": "early-stop best-state restores",

@@ -1,6 +1,6 @@
 """Trace-and-replay benchmark suite behind ``repro trace-bench``.
 
-Four suites, emitted as ``BENCH_trace.json``:
+Two suites, emitted as ``BENCH_trace.json``:
 
 * **speedup** — traced replay vs the eager batched forward on the
   scheduler-loop workload: a drain-sized micro-batch of small graphs
@@ -9,18 +9,13 @@ Four suites, emitted as ``BENCH_trace.json``:
   dispatch, Tensor-graph bookkeeping, and allocation overhead the
   compiled tape eliminates; large graphs are matmul-bound and replay
   approaches 1x by construction.
-* **equivalence** — traced vs eager predictions across the **full**
-  model zoo under the production bucketing (``batch_size=8``).
-* **serial** — single-graph predictions through a traced-by-default
-  :class:`~repro.serve.ModelSession` vs direct
-  :meth:`~repro.core.DNNOccu.predict`: must be bit-identical (singleton
-  requests never enter the traced path).
-* **fallback** — signature-miss behavior: replay-only mode raises
-  :class:`~repro.tensor.trace.TraceMissError` on an unseen batch shape
-  and the eager route serves the request.
+* **equivalence** — :meth:`~repro.tensor.TracedExecutor.run` vs the
+  eager batched forward across the **full** model zoo, on the same
+  size-bucketed chunks of 8 that ``DNNOccu.predict_batch`` collates.
 
-Gates (merged into ``repro bench --check``): speedup >= 2x, zoo
-equivalence <= 1e-6, serial bit-identity, and fallback-on-miss.
+Gates (merged into ``repro bench --check``): speedup >= 2x and zoo
+equivalence <= 1e-6.  The executor is a standalone module: no serving
+path runs it (docs/compile.md).
 """
 
 from __future__ import annotations
@@ -30,9 +25,9 @@ import numpy as np
 from ..features import encode_graph
 from ..gpu import SIMULATOR_VERSION, get_device
 from ..models import ModelConfig, build_model, list_models
-from ..tensor import TraceMissError, TracedExecutor, no_grad
+from ..tensor import TracedExecutor, no_grad
 from ..tensor.trace import batch_signature
-from .batching import collate, ensure_spd
+from .batching import bucket_by_size, collate, ensure_spd
 from .bench import _best_of
 
 __all__ = ["run_trace_benchmarks", "evaluate_trace_gates",
@@ -115,55 +110,14 @@ def bench_trace_equivalence(scale: float = 1.0) -> dict:
     names = list_models()
     feats = _encoded(names, (4,), device)
     eager = model.predict_batch(feats, batch_size=8)
-    traced = model.predict_batch(feats, batch_size=8, traced=True)
+    traced = np.zeros(len(feats))
+    executor = TracedExecutor(model)
+    with no_grad():
+        for idx, chunk in bucket_by_size(feats, 8):
+            traced[idx] = executor.run(collate(chunk))
     return {
         "models": names, "batch_size": 8,
         "max_diff": float(np.abs(eager - traced).max()),
-    }
-
-
-def bench_trace_serial(scale: float = 1.0) -> dict:
-    """Singleton requests through a traced session stay bit-identical."""
-    device = get_device("A100")
-    model = _trace_model()
-    # Imported lazily: perf must not depend on serve at import time.
-    from ..serve.service import ModelSession
-    session = ModelSession(model, device)
-    feats = _encoded(_TRACE_MODELS + ("lenet", "alexnet"), (1, 8), device)
-    direct = [model.predict(f) for f in feats]
-    served = [session.predict_features([f])[0] for f in feats]
-    return {
-        "graphs": len(feats),
-        "session_traced": bool(session.traced),
-        "bit_identical": served == direct,
-    }
-
-
-def bench_trace_fallback(scale: float = 1.0) -> dict:
-    """Signature miss: replay-only mode refuses, eager serves."""
-    device = get_device("A100")
-    model = _trace_model()
-    executor = model.traced_executor()
-    seen = collate(_encoded(("rnn",), (1, 2), device))
-    # A different graph *count* and pad width: rnn/lstm share a node
-    # count, so varying only batch_size would collide in signature.
-    unseen = collate(_encoded(("lenet", "alexnet"), (1, 2, 4), device))
-    with no_grad():
-        executor.run(seen)
-        miss_raised = False
-        try:
-            executor.run(unseen, allow_trace=False)
-        except TraceMissError:
-            miss_raised = True
-        # The production route never sees the miss: predict_batch
-        # compiles on first sight and falls back to eager on error.
-        eager = np.asarray(model.forward_batch(unseen).data)
-    traced = model.predict_batch(
-        _encoded(("lenet", "alexnet"), (1, 2, 4), device), traced=True)
-    return {
-        "miss_raised": miss_raised,
-        "fallback_max_diff": float(np.abs(eager - traced).max()),
-        "cached_signatures": len(executor.cache.signatures()),
     }
 
 
@@ -180,8 +134,6 @@ def run_trace_benchmarks(scale: float = 1.0) -> dict:
         },
         "speedup": bench_trace_speedup(scale),
         "equivalence": bench_trace_equivalence(scale),
-        "serial": bench_trace_serial(scale),
-        "fallback": bench_trace_fallback(scale),
     }
     results["gates"] = evaluate_trace_gates(results)
     return results
@@ -194,18 +146,12 @@ def evaluate_trace_gates(results: dict) -> dict:
         "trace_equivalence_1e6":
             results["speedup"]["max_diff"] <= 1e-6
             and results["equivalence"]["max_diff"] <= 1e-6,
-        "trace_serial_bit_identical":
-            bool(results["serial"]["bit_identical"]),
-        "trace_fallback_on_miss":
-            bool(results["fallback"]["miss_raised"])
-            and results["fallback"]["fallback_max_diff"] <= 1e-6,
     }
 
 
 def format_trace_summary(results: dict) -> str:
     """Human-readable digest of a trace benchmark document."""
     s, e = results["speedup"], results["equivalence"]
-    f = results["fallback"]
     lines = [
         f"speedup : traced {s['traced_s'] * 1e3:.2f}ms vs eager "
         f"{s['eager_s'] * 1e3:.2f}ms ({s['speedup']:.2f}x) on "
@@ -213,10 +159,7 @@ def format_trace_summary(results: dict) -> str:
         f"{s['replay_steps']} steps, arena {s['arena_bytes'] / 1024:.0f} "
         f"KiB",
         f"equiv   : zoo max diff {e['max_diff']:.2e} over "
-        f"{len(e['models'])} models; serial bit-identical: "
-        f"{results['serial']['bit_identical']}",
-        f"fallback: miss raised={f['miss_raised']}, eager fallback diff "
-        f"{f['fallback_max_diff']:.2e}",
+        f"{len(e['models'])} models",
         "gates   : " + "  ".join(
             f"{k}={'PASS' if v else 'FAIL'}"
             for k, v in results["gates"].items()),

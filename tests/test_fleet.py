@@ -277,6 +277,16 @@ class TestWorkerHangChaos:
         assert 0.0 <= value <= 1.0
         assert st["fallbacks"].get("deadline", 0) == 1
 
+    def test_deadline_shed_counts_in_latency_quantiles(self):
+        g = _small_graphs(2)[1]
+        with FleetService(
+                num_workers=1, mode="thread",
+                fault_config=FaultConfig(worker_hang_prob=1.0),
+                fault_seed=7, hang_deadline_s=60.0) as svc:
+            svc.predict(g, timeout=0.2)
+            # the only request is the shed one, after >= 0.2 s
+            assert svc.latency_quantiles()["p50"] >= 0.1
+
 
 # --------------------------------------------------------------------- #
 # lifecycle: drain, close, post-close degradation

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import threading
+import types
 
 import numpy as np
 import pytest
@@ -637,6 +638,29 @@ class TestCloseAndDeadlines:
             second = svc.predict(g)
         assert shed_value == svc.fallback(g, A100)[0]
         assert second == direct  # fresh request sees the real answer
+
+    def test_deadline_shed_is_recorded_as_the_caller_saw_it(self):
+        """One ``shed`` flight record and quality offer, none for the
+        late dispatch of the same request."""
+        g, offers = _small_graphs(1)[0], []
+        quality = types.SimpleNamespace(
+            offer=lambda graph, device, value: offers.append(value),
+            stats=dict)
+        svc = PredictorService(_model(), A100, quality=quality)
+        svc.batcher.pause()
+        value = svc.predict(g, timeout=0.05)
+        svc.batcher.resume()
+        svc.close()  # drains: the late forward has run when this returns
+        assert svc.stats()["batches_dispatched"] == 1
+        (rec,) = svc.flight.records()
+        assert rec.outcome == "shed"
+        assert rec.fallback_tier == "constant"
+        assert rec.prediction == value
+        assert rec.latency_s >= 0.05
+        assert offers == [value]
+        # the late GNN value still fills the result cache
+        assert svc.session.results.get(svc.session.key_for(g)) == \
+            _model().predict(encode_graph(g, A100))
 
     def test_timeout_none_still_blocks_for_real_answer(self):
         g = _small_graphs(1)[0]

@@ -1,16 +1,17 @@
 """Trace-and-replay executor tests (docs/compile.md).
 
-Covers the satellite checklist of the compiled-executor tentpole:
+The executor is a standalone module; these tests cover:
 
 * zoo-wide traced-vs-eager equivalence (<= 1e-6 per model/device);
-* signature keying: hits, misses, replay-only refusal, eager fallback;
+* signature keying: hits, misses, replay-only refusal;
 * bounded LRU trace cache with eviction accounting;
 * the grad-mode hazard: tracing/replay under grad is a hard error;
 * fused-vs-unfused tape equality and fusion actually shrinking tapes;
 * arena buffer reuse without aliasing between live slots;
-* adoption: ``ModelSession`` / ``WorkerCore`` default to traced batches
-  while serial single-graph predictions stay bit-identical, and the
-  ``REPRO_NO_TRACE`` escape hatch restores the eager path.
+* the no-adoption guard: with ``TracedExecutor.run`` made to raise,
+  ``PredictorService`` flushes, ``predict_many`` and
+  ``WorkerCore.handle_many`` still answer within 1e-6 of
+  ``DNNOccu.predict`` and no ``trace_*`` metric appears.
 """
 
 from __future__ import annotations
@@ -18,16 +19,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from concurrent.futures import ThreadPoolExecutor
+
 from repro.core import DNNOccu, DNNOccuConfig
 from repro.features import encode_graph
 from repro.gpu import A100, P40
 from repro.models import ModelConfig, build_model, list_models
+from repro.obs.metrics import install_registry, uninstall_registry
 from repro.perf.batching import collate, ensure_spd
-from repro.tensor import Tensor, no_grad
+from repro.tensor import no_grad
 from repro.tensor.trace import (DEFAULT_CACHE_SIZE, GradModeError,
                                 TraceCache, TraceMissError, TracedExecutor,
                                 batch_signature, compile_tape, fuse_tape,
-                                trace_forward, tracing_disabled)
+                                trace_forward)
 
 
 def _model(hidden: int = 32, seed: int = 7) -> DNNOccu:
@@ -56,14 +60,14 @@ class TestZooEquivalence:
         batch = _batch((name,), (1, 4), device)
         with no_grad():
             eager = np.asarray(model.forward_batch(batch).data)
-            traced = model.traced_executor().run(batch)
+            traced = TracedExecutor(model).run(batch)
         assert np.abs(traced - eager).max() <= 1e-6
 
     def test_mixed_family_batch(self, model):
         batch = _batch(("lenet", "rnn", "lstm", "alexnet"), (1, 2, 4))
         with no_grad():
             eager = np.asarray(model.forward_batch(batch).data)
-            traced = model.traced_executor().run(batch)
+            traced = TracedExecutor(model).run(batch)
         assert np.abs(traced - eager).max() <= 1e-6
 
 
@@ -140,7 +144,7 @@ class TestGradMode:
     def test_run_under_grad_raises(self, model):
         batch = _batch(("rnn",), (1, 2))
         with pytest.raises(GradModeError):
-            model.traced_executor().run(batch)
+            TracedExecutor(model).run(batch)
 
     def test_trace_forward_under_grad_raises(self, model):
         batch = _batch(("rnn",), (1, 2))
@@ -148,10 +152,8 @@ class TestGradMode:
             trace_forward(model, batch)
 
     def test_grad_mode_error_not_swallowed_by_fallback(self, model):
-        # predict_batch's eager fallback must not mask the caller bug:
-        # it catches TraceError, and GradModeError is deliberately not
-        # one.  (predict_batch itself enters no_grad, so exercise the
-        # hazard at the executor layer a trainer would hit.)
+        # A caller that falls back to eager on TraceError must not mask
+        # the caller bug: GradModeError is deliberately not a TraceError.
         from repro.tensor.trace import TraceError
         assert not issubclass(GradModeError, TraceError)
 
@@ -222,41 +224,81 @@ class TestArena:
         assert not np.shares_memory(a, b)
 
 
+@pytest.fixture
+def no_tracer(monkeypatch):
+    """Make any ``TracedExecutor.run`` fail; yield a fresh registry.
+
+    Not a ``TraceError``, so no caller could quietly fall back to eager:
+    a serving path that reaches the tracer fails the test.
+    """
+    def refuse(self, batch, allow_trace=True):
+        raise AssertionError("serving reached TracedExecutor.run")
+
+    monkeypatch.setattr(TracedExecutor, "run", refuse)
+    registry = install_registry()
+    try:
+        yield registry
+    finally:
+        uninstall_registry()
+
+
+def _trace_metrics(registry) -> list:
+    return [m.name for m in registry if m.name.startswith("trace_")]
+
+
+def _direct(model, graphs, device=A100) -> np.ndarray:
+    return np.array([model.predict(encode_graph(g, device))
+                     for g in graphs])
+
+
 class TestAdoption:
+    """Guard: serving runs the eager batch and never the tracer."""
+
     def test_session_serial_requests_bit_identical(self, model):
         from repro.serve.service import ModelSession
         session = ModelSession(model, A100)
-        assert session.traced
         feats = encode_graph(build_model("rnn", ModelConfig()), A100)
         ensure_spd(feats)
         assert session.predict_features([feats]) == [model.predict(feats)]
 
-    def test_session_batches_match_eager_within_1e6(self, model):
+    def test_session_batches_match_eager_within_1e6(self, model,
+                                                    no_tracer):
         from repro.serve.service import ModelSession
-        feats = [encode_graph(
-            build_model(n, ModelConfig(batch_size=bs)), A100)
-            for n in ("rnn", "lstm") for bs in (1, 2)]
-        for f in feats:
-            ensure_spd(f)
-        traced = ModelSession(model, A100).predict_features(feats)
-        eager = ModelSession(model, A100,
-                             traced=False).predict_features(feats)
-        assert np.abs(np.array(traced) - np.array(eager)).max() <= 1e-6
+        session = ModelSession(model, A100)
+        graphs = [build_model(n, ModelConfig(batch_size=bs))
+                  for n in ("rnn", "lstm") for bs in (1, 2)]
+        got = session.predict_features([session.encode(g) for g in graphs])
+        assert np.abs(np.array(got) - _direct(model, graphs)).max() <= 1e-6
+        assert _trace_metrics(no_tracer) == []
 
-    def test_no_trace_env_restores_eager(self, model, monkeypatch):
-        feats = [encode_graph(
-            build_model(n, ModelConfig()), A100) for n in ("rnn", "lstm")]
-        for f in feats:
-            ensure_spd(f)
-        eager = model.predict_batch(feats)
-        monkeypatch.setenv("REPRO_NO_TRACE", "1")
-        assert tracing_disabled()
-        hatch = model.predict_batch(feats, traced=True)
-        assert np.array_equal(eager, hatch)
-        monkeypatch.setenv("REPRO_NO_TRACE", "0")
-        assert not tracing_disabled()
+    def test_concurrent_service_flushes_skip_the_tracer(self, model,
+                                                        no_tracer):
+        from repro.serve.service import PredictorService
+        graphs = [build_model(n, ModelConfig(batch_size=bs))
+                  for n in ("rnn", "lstm", "lenet", "alexnet")
+                  for bs in (1, 2)]
+        with PredictorService(model, A100, max_batch_size=4) as svc, \
+                ThreadPoolExecutor(4) as clients:
+            svc.batcher.pause()
+            tickets = list(clients.map(svc.predict_async, graphs))
+            svc.batcher.resume()
+            got = np.array([t.result(30.0) for t in tickets])
+            stats = svc.stats()
+        assert stats["batches_dispatched"] < len(graphs)  # real batches
+        assert np.abs(got - _direct(model, graphs)).max() <= 1e-6
+        assert _trace_metrics(no_tracer) == []
 
-    def test_worker_core_batches_and_caches(self):
+    def test_predict_many_over_zoo_skips_the_tracer(self, model,
+                                                    no_tracer):
+        from repro.serve.service import PredictorService
+        graphs = [build_model(n, ModelConfig(batch_size=4))
+                  for n in list_models()]
+        with PredictorService(model, A100, max_batch_size=8) as svc:
+            got = svc.predict_many(graphs)
+        assert np.abs(got - _direct(model, graphs)).max() <= 1e-6
+        assert _trace_metrics(no_tracer) == []
+
+    def test_worker_core_batches_and_caches(self, no_tracer):
         from repro.fleet.worker import WorkerCore, WorkerSpec
         spec = WorkerSpec(worker_id=0)
         assert spec.max_batch == 8
@@ -265,14 +307,16 @@ class TestAdoption:
                   for n in ("rnn", "lstm") for bs in (1, 2)]
         outs = core.handle_many([(g, None) for g in graphs])
         assert [tier for _, tier in outs] == ["forward"] * len(graphs)
+        want = _direct(core.session.model, graphs)
+        assert np.abs(np.array([v for v, _ in outs]) - want).max() <= 1e-6
         again = core.handle_many([(g, None) for g in graphs])
         assert [tier for _, tier in again] == ["lru"] * len(graphs)
         assert [v for v, _ in again] == [v for v, _ in outs]
         single = core.handle(graphs[0])
         assert single == again[0]
+        assert _trace_metrics(no_tracer) == []
 
     def test_executor_emits_metrics(self):
-        from repro.obs.metrics import install_registry, uninstall_registry
         registry = install_registry()
         try:
             executor = TracedExecutor(_model())
