@@ -23,6 +23,9 @@ python -m repro lint --zoo --registries
 echo "== unit / integration / property tests (peak RSS <= 4096 MiB) =="
 python scripts/tier1_rss.py | tee test_output.txt
 
+echo "== end-to-end benchmark's own tests (drives FleetService in process mode) =="
+python -m pytest perfbench -q
+
 echo "== lock sanitizer: suite under LockWatch (zero inversions gate) =="
 REPRO_LOCKWATCH=1 python -m pytest tests/ -q
 

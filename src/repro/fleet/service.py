@@ -297,7 +297,7 @@ class FleetService:
                     if handle is None:
                         continue
                     try:
-                        handle.submit(req_id, entry.graph,
+                        handle.submit(req_id, entry.key, entry.graph,
                                       entry.device_name)
                     except WorkerBusyError:
                         busy = True
@@ -495,7 +495,8 @@ class FleetService:
                     self._cond.notify_all()
                     break
         dev, _name = self._resolve_device(device)
-        key = graph_key(graph, dev)
+        # hash again only if another thread popped the entry first
+        key = entry.key if entry is not None else graph_key(graph, dev)
         value = None
         if self._shared is not None:
             shared_value = self._shared.get(key)
@@ -534,7 +535,8 @@ class FleetService:
         """Snapshot of fleet counters and per-worker status."""
         with self._cond:
             workers = {
-                wid: {"incarnation": h.incarnation, "alive": h.alive()}
+                wid: {"incarnation": h.incarnation, "alive": h.alive(),
+                      "graphs_sent": h.graphs_sent}
                 for wid, h in sorted(self._handles.items())}
             out = {
                 "mode": self.mode,

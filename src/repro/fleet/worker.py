@@ -8,8 +8,9 @@ plus the deterministic per-request fault draw
 (:meth:`repro.resilience.FaultInjector.worker_fault`).
 
 Two hosts wrap the core behind one handle interface
-(``submit`` / ``heartbeat_age`` / ``alive`` / ``kill`` / ``close`` and
-the ``on_result`` / ``on_death`` callbacks):
+(``submit(req_id, key, graph, device_name)`` / ``heartbeat_age`` /
+``alive`` / ``kill`` / ``close`` / ``graphs_sent`` and the
+``on_result`` / ``on_death`` callbacks):
 
 * :class:`InProcessWorker` — a thread in this process.  Deterministic
   and cheap; the default for tests and the chaos benchmarks.  A
@@ -23,7 +24,9 @@ the ``on_result`` / ``on_death`` callbacks):
   A ``kill`` fault is a hard ``os._exit``; a ``hang`` fault goes
   silent until terminated.  Parent-side sender/reader threads keep
   ``submit`` non-blocking (a hung child can never wedge a client
-  holding service locks) and turn pipe EOF into ``on_death``.
+  holding service locks) and turn pipe EOF into ``on_death``.  The
+  child gets the request's key first; the graph crosses the pipe only
+  when the child asks for it on a cache miss (docs/fleet.md).
 
 Callbacks are always invoked with **no handle locks held**, so the
 service may take its own condition inside them (lock order:
@@ -110,6 +113,11 @@ class WorkerSpec:
 class WorkerCore:
     """Mode-agnostic request handling: LRU → shared tier → forward.
 
+    Requests arrive with the content key the parent computed to route
+    them, and the core never hashes a graph itself.
+    :meth:`lookup` answers a key from the cache tiers alone, so a hit
+    needs no graph, and :meth:`compute` forwards the misses' graphs.
+
     Single-threaded by construction — exactly one worker thread (or the
     child process main loop) ever touches a core.
     """
@@ -145,54 +153,63 @@ class WorkerCore:
         return self.injector.worker_fault(self.spec.worker_id,
                                           self.spec.incarnation, idx)
 
-    def handle(self, graph, device_name: "str | None" = None) \
-            -> tuple[float, str]:
-        """Serve one graph; returns ``(prediction, tier)``.
+    def lookup(self, key: str) -> "tuple[float, str] | None":
+        """Answer ``key`` from the cache tiers; ``None`` on a miss.
 
-        ``tier`` is where the answer came from: ``"lru"`` (private
-        result cache), ``"shared"`` (on-disk tier, promoted into the
-        LRU), or ``"forward"`` (computed here and published to both).
+        Returns ``(prediction, tier)``: ``"lru"`` (private result
+        cache) or ``"shared"`` (on-disk tier, promoted into the LRU).
         """
-        return self.handle_many([(graph, device_name)])[0]
+        cached = self.session.results.get(key)
+        if cached is not None:
+            return float(cached), "lru"
+        if self.shared is not None:
+            value = self.shared.get(key)
+            if value is not None:
+                self.session.results.put(key, value)
+                return float(value), "shared"
+        return None
 
-    def handle_many(self, requests) -> "list[tuple[float, str]]":
-        """Serve a drained micro-batch of ``(graph, device_name)`` pairs.
+    def compute(self, misses) -> "list[float]":
+        """Forward ``(key, graph, device_name)`` misses as **one** batch.
 
-        Cache tiers resolve per request; the residual cache misses run
-        as **one** forward through
+        Encodes each graph, runs one
         :meth:`~repro.serve.ModelSession.predict_features` — a single
         miss keeps the eager per-graph forward (bit-identical to
         :meth:`~repro.core.DNNOccu.predict`), two or more run the eager
-        masked batch (within 1e-6).  Returns one ``(prediction, tier)``
-        pair per request, in request order.
+        masked batch (within 1e-6) — and publishes every answer to the
+        LRU and the shared tier under its key.
         """
-        results: "list[tuple[float, str] | None]" = [None] * len(requests)
-        misses: "list[tuple[int, str, object]]" = []
-        for pos, (graph, device_name) in enumerate(requests):
-            device = get_device(device_name) if device_name \
-                else self.session.device
-            key = self.session.key_for(graph, device)
-            cached = self.session.results.get(key)
-            if cached is not None:
-                results[pos] = (float(cached), "lru")
-                continue
+        feats = [self.session.encode(
+                     graph, get_device(device_name) if device_name
+                     else self.session.device, key=key)
+                 for key, graph, device_name in misses]
+        values = [float(v) for v in self.session.predict_features(feats)]
+        for (key, _, _), value in zip(misses, values):
+            self.session.results.put(key, value)
             if self.shared is not None:
-                value = self.shared.get(key)
-                if value is not None:
-                    self.session.results.put(key, value)
-                    results[pos] = (float(value), "shared")
-                    continue
-            feats = self.session.encode(graph, device, key=key)
-            misses.append((pos, key, feats))
+                self.shared.put(key, value)
+        return values
+
+    def handle_many(self, requests) -> "list[tuple[float, str]]":
+        """Serve ``(key, graph, device_name)`` triples in request order.
+
+        Each request is looked up first; the distinct missing keys run
+        as one :meth:`compute` (``"forward"``), and a repeat of such a
+        key in the same call takes that forward's answer as the LRU hit
+        it now is (``"lru"``).  Returns one ``(prediction, tier)`` per
+        request.
+        """
+        results = [self.lookup(key) for key, _, _ in requests]
+        misses: "dict[str, tuple]" = {}
+        for request, found in zip(requests, results):
+            if found is None:
+                misses.setdefault(request[0], request)
         if misses:
-            values = self.session.predict_features(
-                [feats for _, _, feats in misses])
-            for (pos, key, _), value in zip(misses, values):
-                value = float(value)
-                self.session.results.put(key, value)
-                if self.shared is not None:
-                    self.shared.put(key, value)
-                results[pos] = (value, "forward")
+            fresh = dict(zip(misses, self.compute(list(misses.values()))))
+            for pos, (key, _, _) in enumerate(requests):
+                if results[pos] is None:
+                    first = misses.pop(key, None) is not None
+                    results[pos] = (fresh[key], "forward" if first else "lru")
         return results
 
 
@@ -230,8 +247,13 @@ class InProcessWorker:
     def incarnation(self) -> int:
         return self._spec.incarnation
 
+    @property
+    def graphs_sent(self) -> int:
+        """Graphs copied to the worker: always 0, it shares the heap."""
+        return 0
+
     # -- client side ---------------------------------------------------- #
-    def submit(self, req_id: int, graph,
+    def submit(self, req_id: int, key: str, graph,
                device_name: "str | None") -> None:
         with self._cond:
             if self._dead or self._stopped:
@@ -240,7 +262,7 @@ class InProcessWorker:
             if len(self._queue) >= self._spec.max_inflight:
                 raise WorkerBusyError(
                     f"worker {self._spec.worker_id} inbox full")
-            self._queue.append((req_id, graph, device_name))
+            self._queue.append((req_id, key, graph, device_name))
             self._cond.notify_all()
 
     def heartbeat_age(self, now: "float | None" = None) -> float:
@@ -297,18 +319,17 @@ class InProcessWorker:
             if serve:
                 try:
                     outs = self._core.handle_many(
-                        [(graph, device_name)
-                         for _, graph, device_name in serve])
+                        [item[1:] for item in serve])
                 except Exception as exc:
                     _log.warning("worker request failed; dying", extra={
                         "worker": self._spec.worker_id,
                         "error": type(exc).__name__})
                     self._die("error")
                     return
-                for (req_id, _, _), (value, tier) in zip(serve, outs):
+                for item, (value, tier) in zip(serve, outs):
                     self._on_result(self._spec.worker_id,
                                     self._spec.incarnation,
-                                    req_id, value, tier)
+                                    item[0], value, tier)
             if fault == "kill":
                 self._die("kill")
                 return
@@ -343,6 +364,13 @@ class InProcessWorker:
 def _process_worker_main(spec: WorkerSpec, conn) -> None:
     """Child-process entry point: serve requests off the pipe.
 
+    A request arrives as ``("req", id, key, device)``: the child answers
+    it from its cache tiers or replies ``("need", id)``, and the parent
+    then sends ``("graph", id, key, graph, device)``.  Graph messages
+    drained together are served by one :meth:`WorkerCore.handle_many`,
+    which looks each key up again first (a sibling request may have
+    filled it).  Fault verdicts are drawn on ``req`` messages only.
+
     Heartbeats ride the idle ``poll`` timeout — a responsive child
     beats at least every ``hb_interval_s``.  A kill fault announces its
     kind (so the parent labels the death correctly) then hard-exits; a
@@ -365,7 +393,7 @@ def _process_worker_main(spec: WorkerSpec, conn) -> None:
         if msg[0] == "close":
             return
         # Drain whatever else is already on the pipe (up to the batch
-        # cap) so queued-up requests share one batched forward.
+        # cap) so queued-up graphs share one batched forward.
         batch = [msg]
         closing = False
         try:
@@ -380,28 +408,34 @@ def _process_worker_main(spec: WorkerSpec, conn) -> None:
         # Same arrival-order fault draw as the thread mode: the clean
         # prefix is served, the faulted request and the drained suffix
         # die with the worker (the parent reroutes them on death).
-        serve: "list[tuple]" = []
+        clean: "list[tuple]" = []
         fault = None
-        for _, req_id, graph, device_name in batch:
-            verdict = core.next_fault()
-            if verdict is not None:
-                fault = verdict
-                break
-            serve.append((req_id, graph, device_name))
-        if serve:
+        for item in batch:
+            if item[0] == "req":
+                verdict = core.next_fault()
+                if verdict is not None:
+                    fault = verdict
+                    break
+            clean.append(item)
+        graphs = [item for item in clean if item[0] == "graph"]
+        try:
+            outs = core.handle_many([item[2:] for item in graphs])
+            replies = [("ok", item[1], value, tier)
+                       for item, (value, tier) in zip(graphs, outs)]
+            for item in clean:
+                if item[0] == "req":
+                    found = core.lookup(item[2])
+                    replies.append(("need", item[1]) if found is None
+                                   else ("ok", item[1], *found))
+        except Exception:
+            # A real serving bug: die loudly; the parent sees EOF
+            # and reroutes, the supervisor restarts with backoff.
+            os._exit(1)
+        for reply in replies:
             try:
-                outs = core.handle_many(
-                    [(graph, device_name)
-                     for _, graph, device_name in serve])
-            except Exception:
-                # A real serving bug: die loudly; the parent sees EOF
-                # and reroutes, the supervisor restarts with backoff.
-                os._exit(1)
-            for (req_id, _, _), (value, tier) in zip(serve, outs):
-                try:
-                    conn.send(("ok", req_id, value, tier))
-                except (EOFError, OSError):
-                    return
+                conn.send(reply)
+            except (EOFError, OSError):
+                return
         if fault == "kill":
             try:
                 conn.send(("fault", "kill"))
@@ -420,11 +454,17 @@ def _process_worker_main(spec: WorkerSpec, conn) -> None:
 class ProcessWorker:
     """One spawned child process behind parent-side pump threads.
 
-    ``submit`` only appends to a bounded outbox under the handle lock —
-    the **sender** thread does the potentially blocking pipe write, so
-    a hung child (full pipe) can never block a client thread that is
-    holding service locks.  The **reader** thread turns child messages
-    into callbacks and pipe EOF into a single ``on_death``.
+    ``submit`` only appends a ``("req", id, key, device)`` message to a
+    bounded outbox under the handle lock and keeps the graph in a
+    per-handle map — the **sender** thread does the potentially
+    blocking pipe write, so a hung child (full pipe) can never block a
+    client thread that is holding service locks.  The **reader** thread
+    turns child messages into callbacks and pipe EOF into a single
+    ``on_death``; on a ``("need", id)`` cache miss it queues the kept
+    graph, so a graph is pickled across the pipe only for a miss
+    (counted in :attr:`graphs_sent`).  A map entry leaves on its
+    ``"ok"``, and the whole map is dropped when the child dies or the
+    handle is killed or closed.
     """
 
     def __init__(self, spec: WorkerSpec, on_result, on_death):
@@ -440,6 +480,9 @@ class ProcessWorker:
         child_conn.close()
         self._cond = new_condition("ProcessWorker._cond")
         self._outbox: "list[tuple]" = []
+        #: req id -> (key, graph, device name), until its result lands
+        self._graphs: "dict[int, tuple]" = {}
+        self._graphs_sent = 0
         self._stopped = False
         self._dead = False
         #: None until the child's first heartbeat lands (spawn grace)
@@ -463,8 +506,14 @@ class ProcessWorker:
     def incarnation(self) -> int:
         return self._spec.incarnation
 
+    @property
+    def graphs_sent(self) -> int:
+        """Graphs this handle pickled to its child (one per miss)."""
+        with self._cond:
+            return self._graphs_sent
+
     # -- client side ---------------------------------------------------- #
-    def submit(self, req_id: int, graph,
+    def submit(self, req_id: int, key: str, graph,
                device_name: "str | None") -> None:
         with self._cond:
             if self._dead or self._stopped:
@@ -473,7 +522,8 @@ class ProcessWorker:
             if len(self._outbox) >= self._spec.max_inflight:
                 raise WorkerBusyError(
                     f"worker {self._spec.worker_id} outbox full")
-            self._outbox.append(("req", req_id, graph, device_name))
+            self._graphs[req_id] = (key, graph, device_name)
+            self._outbox.append(("req", req_id, key, device_name))
             self._cond.notify_all()
 
     def heartbeat_age(self, now: "float | None" = None) -> float:
@@ -498,6 +548,7 @@ class ProcessWorker:
         with self._cond:
             self._dead = True
             self._stopped = True
+            self._graphs.clear()
             self._cond.notify_all()
         try:
             self._proc.terminate()
@@ -520,6 +571,8 @@ class ProcessWorker:
             except (OSError, ValueError):
                 pass
             self._proc.join(timeout)
+        with self._cond:
+            self._graphs.clear()
 
     # -- pump threads ----------------------------------------------------- #
     def _send_loop(self) -> None:
@@ -554,9 +607,18 @@ class ProcessWorker:
             elif kind == "fault":
                 with self._cond:
                     self._death_kind = msg[1]
+            elif kind == "need":
+                with self._cond:
+                    self._beat = time.monotonic()
+                    item = self._graphs.get(msg[1])
+                    if item is not None:  # None once dead or closed
+                        self._outbox.append(("graph", msg[1], *item))
+                        self._graphs_sent += 1
+                        self._cond.notify_all()
             elif kind == "ok":
                 with self._cond:
                     self._beat = time.monotonic()
+                    self._graphs.pop(msg[1], None)
                 self._on_result(self._spec.worker_id,
                                 self._spec.incarnation,
                                 msg[1], msg[2], msg[3])
@@ -565,6 +627,7 @@ class ProcessWorker:
         with self._cond:
             already = self._dead or self._stopped
             self._dead = True
+            self._graphs.clear()
             kind = self._death_kind or "exit"
             self._cond.notify_all()
         if not already:

@@ -15,7 +15,11 @@ The contracts under test are the PR's acceptance gates:
   tier into the fallback chain instead of raising;
 * ``close()`` drains gracefully and is idempotent; post-close predicts
   degrade synchronously rather than raising;
-* process mode spawns real child processes and matches thread mode.
+* process mode spawns real child processes and matches thread mode;
+  a worker gets the request's key first and the graph crosses the pipe
+  only on a cache miss (none over a warm shared tier, one per cold
+  key), and fault verdicts are drawn once per request, as in thread
+  mode.
 """
 
 from __future__ import annotations
@@ -372,7 +376,110 @@ class TestSupervisor:
 # process mode and the bench gates
 # --------------------------------------------------------------------- #
 
+def _recording_handles(monkeypatch) -> list:
+    """Record every worker handle a FleetService builds, restarts too."""
+    made = []
+    make = FleetService._make_handle
+
+    def recording(self, worker_id, incarnation):
+        handle = make(self, worker_id, incarnation)
+        made.append(handle)
+        return handle
+
+    monkeypatch.setattr(FleetService, "_make_handle", recording)
+    return made
+
+
+def _injected_deaths(cfg: FaultConfig, seed: int, requests: int) -> int:
+    """Kills one worker suffers serving ``requests`` one at a time.
+
+    A killed request is retried on the next incarnation, whose verdicts
+    start again at request index 0 — the sequence every host must draw.
+    """
+    inj = FaultInjector(cfg, seed=seed)
+    deaths = incarnation = index = 0
+    for _ in range(requests):
+        while inj.worker_fault(0, incarnation, index) == "kill":
+            deaths += 1
+            incarnation += 1
+            index = 0
+        index += 1
+    return deaths
+
+
 class TestProcessMode:
+    def test_warm_tier_hits_send_no_graphs(self, tmp_path):
+        graphs = _small_graphs(4)
+        with FleetService(num_workers=2, mode="thread",
+                          shared_cache_dir=str(tmp_path)) as warm:
+            want = warm.predict_many(graphs)
+        with FleetService(num_workers=2, mode="process",
+                          shared_cache_dir=str(tmp_path)) as svc:
+            got = [svc.predict(g, timeout=180.0)
+                   for _ in range(3) for g in graphs]
+            st = svc.stats()
+        assert got == want * 3
+        assert st["served"] == {"shared": len(graphs),
+                                "lru": 2 * len(graphs)}
+        assert [w["graphs_sent"] for w in st["workers"].values()] == [0, 0]
+
+    def test_cold_key_sends_one_graph_and_twins_forward_once(self):
+        twin, cold = _small_graphs(2)
+        model = _model()
+        with FleetService(num_workers=1, mode="process") as svc:
+            # both requests are on the pipe before the child is up
+            tickets = [svc.predict_async(twin) for _ in range(2)]
+            twins = [t.result(180.0) for t in tickets]
+            before = svc.stats()
+            value = svc.predict(cold, timeout=180.0)
+            after = svc.stats()
+        assert twins == [float(model.predict(encode_graph(twin, A100)))] * 2
+        assert before["served"] == {"forward": 1, "lru": 1}
+        assert 1 <= before["workers"][0]["graphs_sent"] <= 2
+        assert value == float(model.predict(encode_graph(cold, A100)))
+        assert after["workers"][0]["graphs_sent"] \
+            == before["workers"][0]["graphs_sent"] + 1
+        assert after["served"] == {"forward": 2, "lru": 1}
+
+    def test_kill_chaos_resolves_every_ticket_and_drops_graphs(
+            self, monkeypatch):
+        handles = _recording_handles(monkeypatch)
+        graphs = _small_graphs(4)
+        model = _model()
+        direct = [float(model.predict(encode_graph(g, A100)))
+                  for g in graphs]
+        # seed 67 kills both workers' first incarnations on their first
+        # request, so the run has deaths whatever the interleaving
+        with FleetService(num_workers=2, mode="process",
+                          fault_config=FaultConfig(worker_kill_prob=0.2),
+                          fault_seed=67, max_retries=20) as svc:
+            tickets = [svc.predict_async(g) for _ in range(3)
+                       for g in graphs]
+            got = [t.result(180.0) for t in tickets]
+            st = svc.stats()
+        assert np.abs(np.array(got) - np.array(direct * 3)).max() <= 1e-6
+        assert st["deaths"] >= 1 and st["fallbacks"] == {}
+        assert len(handles) >= 3
+        assert all(not h._graphs for h in handles)
+
+    def test_fault_verdicts_match_thread_mode(self):
+        cfg = FaultConfig(worker_kill_prob=0.3)
+        graphs = _small_graphs(6)
+        deaths = _injected_deaths(cfg, seed=1, requests=len(graphs))
+        assert deaths == 2
+        runs = {}
+        for mode in ("thread", "process"):
+            with FleetService(num_workers=1, mode=mode, fault_config=cfg,
+                              fault_seed=1, max_retries=20) as svc:
+                # every request is a cold key: in process mode each one
+                # takes a need/graph round trip that must not draw
+                values = [svc.predict(g, timeout=180.0) for g in graphs]
+                st = svc.stats()
+            runs[mode] = (values, st["deaths"], st["retries"],
+                          st["served"], st["fallbacks"])
+        assert runs["process"] == runs["thread"]
+        assert runs["thread"][1:3] == (deaths, deaths)
+
     def test_spawned_workers_match_thread_mode(self):
         graphs = _small_graphs(2)
         model = _model()

@@ -300,20 +300,35 @@ class TestAdoption:
 
     def test_worker_core_batches_and_caches(self, no_tracer):
         from repro.fleet.worker import WorkerCore, WorkerSpec
+        from repro.perf.cache import graph_key
         spec = WorkerSpec(worker_id=0)
         assert spec.max_batch == 8
         core = WorkerCore(spec)
+        forwards = []
+        predict_features = core.session.predict_features
+
+        def counting(feats_list):
+            forwards.append(len(feats_list))
+            return predict_features(feats_list)
+
+        core.session.predict_features = counting
         graphs = [build_model(n, ModelConfig(batch_size=bs))
                   for n in ("rnn", "lstm") for bs in (1, 2)]
-        outs = core.handle_many([(g, None) for g in graphs])
+        requests = [(graph_key(g, A100), g, None) for g in graphs]
+        outs = core.handle_many(requests)
         assert [tier for _, tier in outs] == ["forward"] * len(graphs)
+        assert forwards == [len(graphs)]  # one batched forward
         want = _direct(core.session.model, graphs)
         assert np.abs(np.array([v for v, _ in outs]) - want).max() <= 1e-6
-        again = core.handle_many([(g, None) for g in graphs])
+        again = core.handle_many(requests)
         assert [tier for _, tier in again] == ["lru"] * len(graphs)
         assert [v for v, _ in again] == [v for v, _ in outs]
-        single = core.handle(graphs[0])
-        assert single == again[0]
+        assert forwards == [len(graphs)]
+        fresh = build_model("lenet", ModelConfig(batch_size=4))
+        single = core.handle_many([(graph_key(fresh, A100), fresh, None)])
+        assert single == [(float(core.session.model.predict(
+            encode_graph(fresh, A100))), "forward")]
+        assert forwards == [len(graphs), 1]
         assert _trace_metrics(no_tracer) == []
 
     def test_executor_emits_metrics(self):
