@@ -531,9 +531,12 @@ class Tensor:
     # Softmax family (fused for numerical stability)
     # ------------------------------------------------------------------ #
     def softmax(self, axis: int = -1) -> "Tensor":
-        shifted = self.data - self.data.max(axis=axis, keepdims=True)
-        e = np.exp(shifted)
-        out_data = e / e.sum(axis=axis, keepdims=True)
+        # The shifted array is a fresh buffer, so exp and the normalisation
+        # run in place on it: one full-size allocation, same ufuncs in the
+        # same order, hence bit-identical results.
+        out_data = self.data - self.data.max(axis=axis, keepdims=True)
+        np.exp(out_data, out=out_data)
+        out_data /= out_data.sum(axis=axis, keepdims=True)
 
         def backward(g: np.ndarray) -> None:
             if self.requires_grad:
@@ -543,9 +546,9 @@ class Tensor:
         return self._make(out_data, (self,), backward)
 
     def log_softmax(self, axis: int = -1) -> "Tensor":
-        shifted = self.data - self.data.max(axis=axis, keepdims=True)
-        lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-        out_data = shifted - lse
+        out_data = self.data - self.data.max(axis=axis, keepdims=True)
+        lse = np.log(np.exp(out_data).sum(axis=axis, keepdims=True))
+        out_data -= lse
         soft = np.exp(out_data)
 
         def backward(g: np.ndarray) -> None:

@@ -248,6 +248,97 @@ class TestSoftmaxGradients:
         np.testing.assert_allclose(a, b, atol=1e-12)
 
 
+def _two_temp_softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    """The softmax formula with separate shift, exp and divide temporaries."""
+    shifted = x - x.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def _two_temp_log_softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    shifted = x - x.max(axis=axis, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    return shifted - lse
+
+
+def _padded_scores() -> np.ndarray:
+    """(B, heads, n, n) scores with -1e30 on padded key columns; the last
+    member keeps one valid key, so its rows mask every key but one."""
+    from repro.perf.batching import NEG_INF
+    x = RNG.normal(size=(3, 4, 9, 9)) * 4.0
+    for b, valid in enumerate((9, 5, 1)):
+        x[b, :, :, valid:] += NEG_INF
+    return x
+
+
+SOFTMAX_INPUTS = {
+    "n1": lambda: RNG.normal(size=(1,)),
+    "heads_n1": lambda: RNG.normal(size=(4, 1, 1)),
+    "heads_n_n": lambda: RNG.normal(size=(4, 37, 37)) * 3.0,
+    "batched_padded": _padded_scores,
+    "anee_gate": lambda: RNG.normal(size=(50, 32)),
+}
+
+
+class TestSoftmaxInPlace:
+    """The softmax family computes in one private buffer: its outputs are
+    bit-identical to the separate-temporary formulas and never write to
+    the input."""
+
+    @pytest.mark.parametrize("case", sorted(SOFTMAX_INPUTS))
+    @pytest.mark.parametrize("op", ("softmax", "log_softmax"))
+    def test_input_data_unchanged(self, case, op):
+        x = SOFTMAX_INPUTS[case]()
+        t = Tensor(x)
+        before = t.data.copy()
+        out = getattr(t, op)(-1)
+        np.testing.assert_array_equal(t.data, before)
+        assert not np.shares_memory(out.data, t.data)
+
+    @pytest.mark.parametrize("case", sorted(SOFTMAX_INPUTS))
+    def test_softmax_bit_identical_to_two_temporaries(self, case):
+        x = SOFTMAX_INPUTS[case]()
+        np.testing.assert_array_equal(Tensor(x).softmax(-1).data,
+                                      _two_temp_softmax(x, -1))
+
+    @pytest.mark.parametrize("case", sorted(SOFTMAX_INPUTS))
+    def test_log_softmax_bit_identical_to_two_temporaries(self, case):
+        x = SOFTMAX_INPUTS[case]()
+        np.testing.assert_array_equal(Tensor(x).log_softmax(-1).data,
+                                      _two_temp_log_softmax(x, -1))
+
+    def test_masked_row_puts_all_mass_on_the_one_valid_key(self):
+        p = Tensor(_padded_scores()).softmax(-1).data
+        np.testing.assert_array_equal(p[2, :, :, 0], 1.0)
+        np.testing.assert_array_equal(p[2, :, :, 1:], 0.0)
+
+    def test_model_predictions_bit_identical_to_two_temporaries(
+            self, monkeypatch):
+        from repro.core import DNNOccu, DNNOccuConfig
+        from repro.features import encode_graph
+        from repro.gpu import get_device
+        from repro.models import ModelConfig, build_model, list_models
+
+        device = get_device("A100")
+        feats = [encode_graph(build_model(n, ModelConfig(batch_size=16)),
+                              device) for n in list_models()]
+        assert len(feats) == 25
+        model = DNNOccu(DNNOccuConfig(hidden=32, num_heads=4), seed=7)
+
+        def run():
+            with no_grad():
+                single = np.array([model.predict(f) for f in feats])
+                return single, model.predict_batch(feats, batch_size=8)
+
+        single, batched = run()
+        monkeypatch.setattr(
+            Tensor, "softmax",
+            lambda self, axis=-1: Tensor(_two_temp_softmax(self.data, axis)))
+        ref_single, ref_batched = run()
+        np.testing.assert_array_equal(single, ref_single)
+        np.testing.assert_array_equal(batched, ref_batched)
+
+
 class TestBroadcasting:
     def test_add_broadcast_grad_shapes(self):
         a = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
